@@ -169,12 +169,15 @@ class FlowLevelSimulation:
             # faulted closed runs ride the streaming loop too: it is the
             # only loop with epoch splicing, and wrapping the sorted list
             # keeps the parity-pinned closed path textually untouched.
-            # (Admission happens at arrival time, so flows arriving after
-            # ``deadline`` are never registered — keep fault scenarios'
-            # arrivals inside the deadline.)
             ordered = sorted(flows, key=lambda s: s.arrival)
             stream = FlowStream(iter(ordered), expected_flows=len(ordered))
-            return self._run_stream(stream, deadline, max_recomputations)
+            self._run_stream(stream, deadline, max_recomputations)
+            # the stream never admits a flow arriving after ``deadline``;
+            # register it unfinished, as the closed loop does
+            for spec in stream.materialize():
+                self.metrics.register(spec)
+                self.metrics.on_start(spec.fid, spec.arrival)
+            return self.metrics
         pending = sorted(
             (self._make_progress(self.metrics.register(s).spec) for s in flows),
             key=lambda f: f.spec.arrival,
@@ -227,6 +230,12 @@ class FlowLevelSimulation:
                                             deadline)
             dt = horizon - self.now
             if dt < 0:
+                if self.now > deadline:
+                    # only a jump to a transfer start past ``deadline +
+                    # refresh_interval`` lands here: the run is over, and
+                    # the flows it promoted stay registered and
+                    # unfinished, as in the packet engine
+                    break
                 raise ExperimentError("fluid engine time went backwards")
             for flow in active:
                 # inlined FlowProgress.advance (same arithmetic)
@@ -342,6 +351,12 @@ class FlowLevelSimulation:
                     horizon = fault_time
             dt = horizon - self.now
             if dt < 0:
+                if self.now > deadline:
+                    # only a jump to a transfer start past ``deadline +
+                    # refresh_interval`` lands here: the run is over, and
+                    # the flows it promoted stay registered and
+                    # unfinished, as in the packet engine
+                    break
                 raise ExperimentError("fluid engine time went backwards")
             for flow in active:
                 if flow.rate > 0:

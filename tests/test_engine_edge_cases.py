@@ -2,18 +2,22 @@
 
 import pytest
 
+from repro.campaign.engines import run_flow_level, run_packet_level
 from repro.core.config import PdqConfig
 from repro.errors import ExperimentError
+from repro.faults.spec import FaultEvent
 from repro.flowsim import (
     FlowLevelSimulation,
     NaiveFlowLevelSimulation,
     PdqModel,
+    RcpModel,
 )
 from repro.flowsim.naive import naive_model_for
 from repro.flowsim.progress import FlowProgress
-from repro.topology import SingleBottleneck
+from repro.topology import SingleBottleneck, SingleRootedTree
 from repro.units import KBYTE, MBYTE
 from repro.workload.flow import FlowSpec
+from repro.workload.stream import FlowStream
 
 
 class TestRefreshBoundaryArrival:
@@ -158,3 +162,41 @@ class TestCriticalityCachingContract:
         assert not PdqModel(
             PdqConfig.full(criticality_mode="estimate"))._keys_are_static()
         assert not PdqModel(PdqConfig.full(aging_rate=1.0))._keys_are_static()
+
+
+class TestLateArrival:
+    """A flow arriving after the run's ``deadline`` stays registered and
+    unfinished on both engines, with or without a fault schedule (the
+    fluid engine used to raise without faults and drop the record with
+    them)."""
+
+    FAULTS = (FaultEvent(0.01, "link_down", "root", "tor3"),
+              FaultEvent(0.02, "link_up", "root", "tor3"))
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    @pytest.mark.parametrize("runner", [run_flow_level, run_packet_level])
+    def test_late_flow_is_registered_unfinished(self, runner, faulted):
+        flows = [
+            FlowSpec(fid=0, src="h0", dst="h5", size_bytes=20 * KBYTE),
+            FlowSpec(fid=1, src="h1", dst="h6", size_bytes=20 * KBYTE,
+                     arrival=0.5),
+        ]
+        metrics = runner(SingleRootedTree(), "RCP", flows, sim_deadline=0.1,
+                         faults=self.FAULTS if faulted else None)
+        assert [r.spec.fid for r in metrics.all_records()] == [0, 1]
+        assert metrics.record(0).completed
+        late = metrics.record(1)
+        assert not late.completed and not late.terminated
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_transfer_start_past_the_horizon(self, streamed):
+        # arrives inside the deadline, but ten RTTs of set-up push its
+        # transfer start past deadline + refresh_interval
+        spec = FlowSpec(fid=0, src="h0", dst="h5", size_bytes=20 * KBYTE,
+                        arrival=0.0999)
+        flows = FlowStream([spec]) if streamed else [spec]
+        metrics = FlowLevelSimulation(
+            SingleRootedTree(), RcpModel(), init_rtts=10.0,
+        ).run(flows, deadline=0.1)
+        record = metrics.record(0)
+        assert not record.completed and not record.terminated

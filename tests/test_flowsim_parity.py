@@ -8,17 +8,22 @@ location fails these tests.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import PdqConfig
 from repro.flowsim.d3_model import D3Model
 from repro.flowsim.engine import FlowLevelSimulation
 from repro.flowsim.naive import (
+    NaiveD3Model,
     NaiveFlowLevelSimulation,
+    naive_max_min_rates,
     naive_model_for,
 )
 from repro.flowsim.pdq_model import PdqModel
-from repro.flowsim.rcp_model import RcpModel
+from repro.flowsim.progress import FlowProgress
+from repro.flowsim.rcp_model import RcpModel, max_min_rates
 from repro.units import KBYTE, MSEC
+from repro.workload.flow import FlowSpec
 
 # importing the figure modules registers their workload kinds
 import repro.experiments.fig3  # noqa: F401
@@ -108,6 +113,19 @@ class TestFig8Parity:
         )
         assert opt == naive
 
+    @pytest.mark.parametrize("protocol", ["rcp", "d3"])
+    def test_54_server_permutation_bit_identical(self, protocol):
+        # dozens of flows per allocation: water-filling runs many rounds
+        # with ties and capped flows, unlike the 16-server grid above
+        factory = {"rcp": RcpModel, "d3": D3Model}[protocol]
+        opt, naive = _run_both(
+            "fattree", {"n_servers": 54},
+            "fig8.permutation",
+            {"flows_per_server": 2, "mean_deadline": 20 * MSEC},
+            factory,
+        )
+        assert opt == naive
+
     def test_random_pairs_deadlines_bit_identical(self):
         opt, naive = _run_both(
             "fattree", {"n_servers": 16},
@@ -150,3 +168,79 @@ class TestAgingAndEstimateParity:
             lambda: PdqModel(PdqConfig.full(criticality_mode="random")),
         )
         assert opt == naive
+
+
+# few distinct values, so equal shares and equal caps are common; most are
+# not dyadic, so the order of two subtractions reaches the float bits
+_RATES = st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1.0, 2.0, 10.0]) | st.floats(
+    min_value=0.05, max_value=5.0, allow_nan=False, allow_infinity=False,
+)
+
+
+@st.composite
+def _allocation(draw):
+    """A random water-filling input: ``(flows, capacities, now)``, flows
+    as ``(spec, hops, max_rate, wire_size)`` over edges ``0..n-1``. Hops
+    may repeat an edge; fids are unique but unordered, so the set order
+    of ``unfrozen`` differs from flow order."""
+    n_edges = draw(st.integers(min_value=1, max_value=6))
+    capacities = [draw(_RATES) for _ in range(n_edges)]
+    fids = draw(st.lists(st.integers(min_value=0, max_value=500),
+                         min_size=1, max_size=10, unique=True))
+    flows = []
+    for fid in fids:
+        spec = FlowSpec(
+            fid=fid, src="a", dst="b", size_bytes=1000,
+            arrival=draw(st.sampled_from([0.0, 0.1, 0.2])),
+            deadline=draw(st.sampled_from([None, 1e-4, 0.05, 0.3])),
+        )
+        hops = draw(st.lists(st.integers(min_value=0, max_value=n_edges - 1),
+                             max_size=4))
+        # small wire sizes make D3's s/d demand fall below max_rate
+        wire_size = draw(st.sampled_from([1e-4, 1e-3, 1000.0]))
+        flows.append((spec, hops, draw(_RATES), wire_size))
+    return flows, capacities, draw(st.sampled_from([0.0, 0.05, 0.15]))
+
+
+def _progress(flows, token):
+    return [
+        FlowProgress(spec, [token(e) for e in hops], max_rate, rtt=1e-4,
+                     wire_size=wire_size, transfer_start=0.0)
+        for spec, hops, max_rate, wire_size in flows
+    ]
+
+
+class TestWaterFillingParity:
+    """``max_min_rates`` against the frozen reference on random inputs:
+    exact dict equality (no ``approx``), for both capacity shapes, and
+    D3's leftover phase on the same draws."""
+
+    @given(_allocation())
+    @settings(max_examples=500, deadline=None)
+    def test_bit_identical_to_naive(self, drawn):
+        flows, capacities, now = drawn
+        by_name = {(f"s{e}", f"d{e}"): c for e, c in enumerate(capacities)}
+        named = _progress(flows, lambda e: (f"s{e}", f"d{e}"))
+        dense = _progress(flows, lambda e: e)
+
+        expected = naive_max_min_rates(named, by_name)
+        assert max_min_rates(named, by_name) == expected
+        assert max_min_rates(dense, capacities) == expected
+
+        expected_d3 = NaiveD3Model().allocate(named, by_name, now)
+        assert D3Model().allocate(named, by_name, now) == expected_d3
+        assert D3Model().allocate(dense, capacities, now) == expected_d3
+
+    def test_capped_flows_subtract_in_set_order(self):
+        # fids 1 and 2 both cap below the 1/3 share of edge 0; the set
+        # {2, 1, 3} iterates 1, 2, 3, so the leftover for fid 3 is
+        # (1.0 - 0.3) - 0.1 == 0.6, where flow order would give
+        # (1.0 - 0.1) - 0.3 == 0.6000000000000001
+        flows = _progress([
+            (FlowSpec(fid=fid, src="a", dst="b", size_bytes=1000), [0],
+             max_rate, 1000.0)
+            for fid, max_rate in ((2, 0.1), (1, 0.3), (3, 10.0))
+        ], lambda e: e)
+        rates = max_min_rates(flows, [1.0])
+        assert rates == {2: 0.1, 1: 0.3, 3: 0.6}
+        assert rates == naive_max_min_rates(flows, {0: 1.0})
