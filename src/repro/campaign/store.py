@@ -88,7 +88,14 @@ class ResultStore:
 
     def put(self, spec: ScenarioSpec, collector: MetricsCollector,
             elapsed: float = 0.0) -> Path:
-        """Persist one result atomically (write temp file, then rename)."""
+        """Persist one result atomically (write temp file, then rename).
+
+        The payload is encoded in one ``json.dumps`` call before the temp
+        file exists: ``json.dump`` to a handle always takes the
+        pure-Python encoder, while ``dumps`` uses the C one and writes
+        the same bytes. An unencodable payload therefore fails before
+        anything touches the store root.
+        """
         path = self.path_for(spec.key)
         payload = {
             "version": STORE_VERSION,
@@ -99,10 +106,11 @@ class ResultStore:
             "created_at": time.time(),
             "elapsed": elapsed,
         }
+        text = json.dumps(payload)
         fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+                handle.write(text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -4,6 +4,11 @@ Mirrors :mod:`repro.net.routing` exactly -- same node-id assignment (sorted
 node names), same link ordering, same hash -- so a flow takes the *same*
 path in the flow-level and packet-level simulators. Fig 8's
 packet-vs-flow-level comparison depends on that correspondence.
+
+Paths are not cached per flow: each flow asks for its path once, so a
+fid-keyed cache only earns hits on re-launched fids. What repeats across
+flows is the ECMP candidate set at a node toward a destination, so that
+is what the router keeps, filled lazily as walks reach each node.
 """
 
 from __future__ import annotations
@@ -17,16 +22,18 @@ from repro.topology.base import Topology
 #: a directed edge between named nodes
 Edge = tuple[str, str]
 
-#: pinned-path cache bound: each flow asks for its path once, so the
-#: cache only earns hits on re-launched fids; past this many entries
-#: (an open-system stream of fresh fids) it is cleared rather than
-#: allowed to grow O(flows) — kept small so the cache, not the live
-#: flow set, never dominates a streaming run's peak memory
-PATH_CACHE_LIMIT = 4096
+#: one ECMP candidate: (directed edge id, neighbor it leads to)
+Hop = tuple[int, str]
 
 
 class GraphRouter:
-    """ECMP path pinning on a topology graph (no Link objects needed)."""
+    """ECMP path pinning on a topology graph (no Link objects needed).
+
+    Keeps two per-destination caches, both cleared by
+    :meth:`set_down_edges`: BFS hop distances, and the next-hop table
+    ``dst -> {node -> [(edge_id, neighbor), ...]}`` holding each node's
+    shortest-path candidates in link-id order.
+    """
 
     def __init__(self, topology: Topology):
         self.topology = topology
@@ -45,9 +52,12 @@ class GraphRouter:
             self._out[a].append((eid, b))
         for neighbors in self._out.values():
             neighbors.sort()
+        #: directed edge by dense id (inverse of edge_index)
+        self._edges: list[Edge] = sorted(
+            self.edge_index, key=self.edge_index.__getitem__
+        )
         self._dist_cache: dict[str, dict[str, int]] = {}
-        self._path_cache: dict[tuple[int, str, str], tuple[Edge, ...]] = {}
-        self._path_ids_cache: dict[tuple[int, str, str], tuple[int, ...]] = {}
+        self._next_hops: dict[str, dict[str, list[Hop]]] = {}
         #: directed edge ids excluded from routing (fault injection);
         #: always populated in symmetric pairs — both directions of a
         #: failed cable — so the reversed-adjacency BFS stays correct
@@ -67,35 +77,40 @@ class GraphRouter:
             return
         self._down_edges = down
         self._dist_cache.clear()
-        self._path_cache.clear()
-        self._path_ids_cache.clear()
+        self._next_hops.clear()
 
     def flow_path(self, fid: int, src: str, dst: str) -> tuple[Edge, ...]:
-        key = (fid, src, dst)
-        path = self._path_cache.get(key)
-        if path is None:
-            path = self._compute(fid, src, dst)
-            if len(self._path_cache) >= PATH_CACHE_LIMIT:
-                self._path_cache.clear()
-            self._path_cache[key] = path
-        return path
+        """Pinned path of flow ``fid`` as directed (node, node) edges."""
+        edges = self._edges
+        return tuple(edges[eid] for eid in self.flow_path_ids(fid, src, dst))
 
     def flow_path_ids(self, fid: int, src: str, dst: str) -> tuple[int, ...]:
-        """Same pinned path as :meth:`flow_path`, as dense edge ids.
+        """Pinned path of flow ``fid`` as dense directed-edge ids.
 
         The optimized flow-level engine stores these on
         :class:`~repro.flowsim.progress.FlowProgress` so rate models index
         flat residual-capacity lists instead of hashing name tuples.
         """
-        key = (fid, src, dst)
-        ids = self._path_ids_cache.get(key)
-        if ids is None:
-            index = self.edge_index
-            ids = tuple(index[edge] for edge in self.flow_path(fid, src, dst))
-            if len(self._path_ids_cache) >= PATH_CACHE_LIMIT:
-                self._path_ids_cache.clear()
-            self._path_ids_cache[key] = ids
-        return ids
+        if src == dst:
+            raise RoutingError("flow src equals dst")
+        hops = self._next_hops.get(dst)
+        if hops is None:
+            hops = self._next_hops[dst] = {}
+        node_id = self._node_id
+        ids: list[int] = []
+        node = src
+        while node != dst:
+            candidates = hops.get(node)
+            if candidates is None:
+                candidates = hops[node] = self._candidates(node, dst)
+            if len(candidates) == 1:
+                eid, node = candidates[0]
+            else:
+                eid, node = candidates[
+                    ecmp_hash(fid, node_id[node]) % len(candidates)
+                ]
+            ids.append(eid)
+        return tuple(ids)
 
     def hop_count(self, src: str, dst: str) -> int:
         dist = self._distances(dst)
@@ -141,26 +156,21 @@ class GraphRouter:
         self._dist_cache[dst] = dist
         return dist
 
-    def _compute(self, fid: int, src: str, dst: str) -> tuple[Edge, ...]:
-        if src == dst:
-            raise RoutingError("flow src equals dst")
+    def _candidates(self, node: str, dst: str) -> list[Hop]:
+        """Shortest-path next hops from ``node`` toward ``dst``.
+
+        A walk starts at the source and only moves to nodes one hop
+        closer, so a node missing from the distance map is the source.
+        """
         dist = self._distances(dst)
-        if src not in dist:
-            raise RoutingError(f"no route {src} -> {dst}")
+        here = dist.get(node)
+        if here is None:
+            raise RoutingError(f"no route {node} -> {dst}")
         down = self._down_edges
-        path: list[Edge] = []
-        node = src
-        while node != dst:
-            here = dist[node]
-            candidates = [
-                (lid, nb) for lid, nb in self._out[node]
-                if lid not in down and dist.get(nb, here) == here - 1
-            ]
-            if not candidates:
-                raise RoutingError(f"routing dead-end at {node} toward {dst}")
-            pick = candidates[
-                ecmp_hash(fid, self._node_id[node]) % len(candidates)
-            ]
-            path.append((node, pick[1]))
-            node = pick[1]
-        return tuple(path)
+        candidates = [
+            (lid, nb) for lid, nb in self._out[node]
+            if lid not in down and dist.get(nb, here) == here - 1
+        ]
+        if not candidates:
+            raise RoutingError(f"routing dead-end at {node} toward {dst}")
+        return candidates

@@ -16,9 +16,9 @@ from repro.errors import RoutingError
 from repro.net.link import Link
 from repro.net.node import Node
 
-#: pinned-path cache bound (mirrors repro.flowsim.paths.PATH_CACHE_LIMIT):
-#: open-system streams route an unbounded sequence of fresh fids, so the
-#: cache clears instead of growing O(flows)
+#: pinned-path cache bound: a repeated lookup returns the same pinned
+#: tuple, but open-system streams route an unbounded sequence of fresh
+#: fids, so the cache clears instead of growing O(flows)
 PATH_CACHE_LIMIT = 4096
 
 
@@ -42,18 +42,23 @@ class Router:
             out.sort(key=lambda lk: lk.link_id)
         # hop distance to each destination, computed lazily per destination
         self._dist_cache: dict[int, dict[int, int]] = {}
+        # dst -> {node -> ECMP candidate links toward dst}, filled lazily
+        # one node at a time as path walks reach it (mirrors
+        # repro.flowsim.paths.GraphRouter)
+        self._next_hops: dict[int, dict[int, list[Link]]] = {}
         self._path_cache: dict[tuple[int, int, int], tuple[Link, ...]] = {}
 
     # -- public API ---------------------------------------------------------------
 
     def invalidate_routes(self) -> None:
-        """Forget cached distances and pinned paths.
+        """Forget cached distances, next hops and pinned paths.
 
         Called by the fault controller when links go down or come back:
         the next ``flow_path`` recomputes over the surviving links, so a
         rerouted flow gets a fresh pin instead of a stale cached one.
         """
         self._dist_cache.clear()
+        self._next_hops.clear()
         self._path_cache.clear()
 
     def flow_path(self, fid: int, src_id: int, dst_id: int) -> tuple[Link, ...]:
@@ -78,8 +83,7 @@ class Router:
 
     def equal_cost_paths(self, src_id: int, dst_id: int) -> int:
         """Number of distinct next-hop choices at the source (diagnostics)."""
-        dist = self._distances(dst_id)
-        return len(self._candidates(src_id, dist))
+        return len(self._candidates(src_id, dst_id))
 
     def hop_count(self, src_id: int, dst_id: int) -> int:
         dist = self._distances(dst_id)
@@ -112,15 +116,20 @@ class Router:
         self._dist_cache[dst_id] = dist
         return dist
 
-    def _candidates(self, node_id: int, dist: dict[int, int]) -> list[Link]:
-        here = dist.get(node_id)
-        if here is None:
-            return []
-        return [
-            link
-            for link in self._out_links[node_id]
-            if link.up and dist.get(link.dst.id, here) == here - 1
-        ]
+    def _candidates(self, node_id: int, dst_id: int) -> list[Link]:
+        """ECMP next hops from ``node_id`` toward ``dst_id`` (cached)."""
+        hops = self._next_hops.get(dst_id)
+        links = None if hops is None else hops.get(node_id)
+        if links is None:
+            dist = self._distances(dst_id)
+            here = dist.get(node_id)
+            links = [] if here is None else [
+                link
+                for link in self._out_links[node_id]
+                if link.up and dist.get(link.dst.id, here) == here - 1
+            ]
+            self._next_hops.setdefault(dst_id, {})[node_id] = links
+        return links
 
     def _compute_path(self, fid: int, src_id: int, dst_id: int) -> tuple[Link, ...]:
         if src_id == dst_id:
@@ -131,12 +140,15 @@ class Router:
         path: list[Link] = []
         node_id = src_id
         while node_id != dst_id:
-            candidates = self._candidates(node_id, dist)
+            candidates = self._candidates(node_id, dst_id)
             if not candidates:
                 raise RoutingError(
                     f"routing dead-end at node {node_id} toward {dst_id}"
                 )
-            choice = candidates[ecmp_hash(fid, node_id) % len(candidates)]
+            if len(candidates) == 1:
+                choice = candidates[0]
+            else:
+                choice = candidates[ecmp_hash(fid, node_id) % len(candidates)]
             path.append(choice)
             node_id = choice.dst.id
         return tuple(path)

@@ -1,6 +1,7 @@
 """Tests for ECMP routing, path pinning, and packet/flow-level agreement."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.stack import PdqStack
 from repro.errors import RoutingError
@@ -8,6 +9,15 @@ from repro.flowsim.paths import GraphRouter
 from repro.net.network import Network
 from repro.net.routing import ecmp_hash
 from repro.topology import BCube, FatTree, SingleRootedTree
+from repro.topology.random_graph import RandomGraph
+
+#: topologies the routing-agreement property test draws from
+AGREEMENT_TOPOLOGIES = {
+    "fattree4": lambda: FatTree(4),
+    "bcube22": lambda: BCube(2, 2),
+    "single_rooted": lambda: SingleRootedTree(),
+    "random8": lambda: RandomGraph(8, mean_degree=2.5, seed=7),
+}
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +121,68 @@ class TestGraphRouterAgreement:
             pkt_names = [(lk.src.name, lk.dst.name) for lk in pkt_path]
             flow_path = graph_router.flow_path(fid, src, dst)
             assert pkt_names == list(flow_path)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        topo_name=st.sampled_from(sorted(AGREEMENT_TOPOLOGIES)),
+        queries=st.lists(
+            st.tuples(st.integers(0, 10_000), st.integers(0, 63),
+                      st.integers(0, 63)),
+            min_size=1, max_size=12,
+        ),
+        cut=st.lists(st.integers(0, 255), min_size=1, max_size=4),
+    )
+    def test_same_paths_and_errors_with_and_without_faults(
+            self, topo_name, queries, cut):
+        topo = AGREEMENT_TOPOLOGIES[topo_name]()
+        net = Network(topo, PdqStack())
+        router = GraphRouter(topo)
+        hosts = topo.hosts
+        cases = [(fid, hosts[a % len(hosts)], hosts[b % len(hosts)])
+                 for fid, a, b in queries]
+        cables = sorted(topo.graph.edges())
+        down = {cables[i % len(cables)] for i in cut}
+
+        def outcomes():
+            rows = []
+            for fid, src, dst in cases:
+                try:
+                    links = net.router.flow_path(
+                        fid, net.node(src).id, net.node(dst).id
+                    )
+                    packet = [(lk.src.name, lk.dst.name) for lk in links]
+                except RoutingError as exc:
+                    packet = ("error", str(exc).split(" ")[:2])
+                try:
+                    fluid = list(router.flow_path(fid, src, dst))
+                    ids = router.flow_path_ids(fid, src, dst)
+                    assert list(ids) == [router.edge_index[e] for e in fluid]
+                except RoutingError as exc:
+                    fluid = ("error", str(exc).split(" ")[:2])
+                    with pytest.raises(RoutingError):
+                        router.flow_path_ids(fid, src, dst)
+                assert packet == fluid, (fid, src, dst)
+                rows.append(fluid)
+            return rows
+
+        def fail(cables_down):
+            down_ids = set()
+            for a, b in cables_down:
+                for x, y in ((a, b), (b, a)):
+                    net.link_between(x, y).up = False
+                    down_ids.add(router.edge_index[(x, y)])
+            net.router.invalidate_routes()
+            router.set_down_edges(down_ids)
+
+        healthy = outcomes()
+        fail(down)
+        outcomes()
+        # restoring every cable must forget the faulted next hops
+        for link in net.links:
+            link.up = True
+        net.router.invalidate_routes()
+        router.set_down_edges(())
+        assert outcomes() == healthy
 
     def test_hop_count_agrees(self):
         topo = FatTree(4)
