@@ -15,9 +15,10 @@ keyed on ``transfer_start``; completion ETAs live in a lazy min-heap
 (entries invalidated by a per-flow version bump on rate change — an
 unchanged rate means an unchanged absolute ETA) and deadline boundaries
 in a second lazy heap, so locating the next event no longer scans every
-flow. The frozen pre-optimization engine is
-:class:`~repro.flowsim.naive.NaiveFlowLevelSimulation`; parity tests pin
-bit-identical metrics between the two.
+flow. One main loop serves closed batches and open-system streams alike
+(see :meth:`FlowLevelSimulation.run`). The frozen pre-optimization engine
+is :class:`~repro.flowsim.naive.NaiveFlowLevelSimulation`; parity tests
+pin bit-identical metrics between the two.
 """
 
 from __future__ import annotations
@@ -155,120 +156,66 @@ class FlowLevelSimulation:
     def run(self, flows: Sequence[FlowSpec] | FlowStream,
             deadline: float = 60.0,
             max_recomputations: int = 2_000_000) -> MetricsCollector:
+        """Run a closed batch or an open-system stream through :meth:`_loop`.
+
+        A stream is admitted as is. A faulted closed batch becomes an
+        arrival-sorted stream, so each flow is routed at arrival under
+        that moment's fault state. An unfaulted closed batch pre-fills
+        the waiting heap and leaves the loop an exhausted stream, so
+        every admission and fault branch is a no-op and its trajectories
+        (pinned bit-identical against the naive engine) cannot move.
+        """
         begin_run = getattr(self.model, "begin_run", None)
         if begin_run is not None:
             # the engine honors the incremental-sort contract: the active
             # list only gains flows at its tail and sheds departed flows
             begin_run()
+        waiting: list[tuple[float, int, FlowProgress]] = []
         if isinstance(flows, FlowStream):
-            # open-system runs admit incrementally; the closed-batch path
-            # below stays textually untouched so its float trajectories —
-            # pinned bit-identical against the naive engine — cannot move
-            return self._run_stream(flows, deadline, max_recomputations)
-        if self.fault_events:
-            # faulted closed runs ride the streaming loop too: it is the
-            # only loop with epoch splicing, and wrapping the sorted list
-            # keeps the parity-pinned closed path textually untouched.
-            ordered = sorted(flows, key=lambda s: s.arrival)
-            stream = FlowStream(iter(ordered), expected_flows=len(ordered))
-            self._run_stream(stream, deadline, max_recomputations)
-            # the stream never admits a flow arriving after ``deadline``;
-            # register it unfinished, as the closed loop does
-            for spec in stream.materialize():
-                self.metrics.register(spec)
-                self.metrics.on_start(spec.fid, spec.arrival)
-            return self.metrics
-        pending = sorted(
-            (self._make_progress(self.metrics.register(s).spec) for s in flows),
-            key=lambda f: f.spec.arrival,
-        )
-        for flow in pending:
-            self.metrics.on_start(flow.fid, flow.spec.arrival)
-        # waiting flows keyed on transfer_start; seq is the arrival-sorted
-        # position so promoted batches can be re-ordered to match the
-        # reference engine's arrival-order promotion exactly
-        waiting: list[tuple[float, int, FlowProgress]] = [
-            (flow.transfer_start, seq, flow) for seq, flow in enumerate(pending)
-        ]
-        heapq.heapify(waiting)
-        active: list[FlowProgress] = []
-        eta_heap: list[tuple[float, int, int, FlowProgress]] = []
-        deadline_heap: list[tuple[float, int, FlowProgress]] = []
-
-        while (waiting or active) and self.now <= deadline:
-            self.iterations += 1
-            if not active and waiting:
-                # jump to the next transfer start
-                self.now = max(self.now, waiting[0][0])
-            self._promote(waiting, active, deadline_heap)
-            if not active:
-                continue
-
-            rates = self.model.allocate(active, self.capacities, self.now)
-            self.recomputations += 1
-            if self.recomputations > max_recomputations:
-                raise ExperimentError(
-                    "flow-level simulation did not converge "
-                    f"({max_recomputations} recomputations)"
-                )
-            sending = self._apply_rates(active, rates, eta_heap)
-            if len(eta_heap) > 64 and len(eta_heap) > 4 * len(active):
-                # models that reshuffle most rates per recomputation (RCP
-                # max-min) strand stale entries below the heap top; compact
-                # so the heap stays O(active). Dropping invalid entries
-                # cannot change the surviving minimum.
-                eta_heap = [
-                    entry for entry in eta_heap
-                    if not entry[3].departed
-                    and entry[1] == entry[3].eta_version
-                ]
-                heapq.heapify(eta_heap)
-            if self._terminate_flows(active, rates):
-                continue  # rates changed; recompute immediately
-
-            horizon = self._next_event_time(waiting, eta_heap, deadline_heap,
-                                            deadline)
-            dt = horizon - self.now
-            if dt < 0:
-                if self.now > deadline:
-                    # only a jump to a transfer start past ``deadline +
-                    # refresh_interval`` lands here: the run is over, and
-                    # the flows it promoted stay registered and
-                    # unfinished, as in the packet engine
-                    break
-                raise ExperimentError("fluid engine time went backwards")
-            for flow in active:
-                # inlined FlowProgress.advance (same arithmetic)
-                if flow.rate > 0:
-                    flow.remaining_wire = max(
-                        0.0, flow.remaining_wire - flow.rate * dt / 8.0
-                    )
-                else:
-                    flow.waited += dt
-            self.now = horizon
-            self._complete_finished(sending, active)
-            if self.samplers:
-                for sampler in self.samplers:
-                    sampler.on_step(self, active)
+            stream = flows
+        elif self.fault_events:
+            stream = FlowStream(sorted(flows, key=lambda s: s.arrival))
+        else:
+            pending = sorted(
+                (self._make_progress(self.metrics.register(s).spec)
+                 for s in flows),
+                key=lambda f: f.spec.arrival,
+            )
+            for flow in pending:
+                self.metrics.on_start(flow.fid, flow.spec.arrival)
+            # waiting flows keyed on transfer_start; seq is the
+            # arrival-sorted position so promoted batches can be
+            # re-ordered to match the reference engine's arrival-order
+            # promotion exactly
+            waiting = [
+                (flow.transfer_start, seq, flow)
+                for seq, flow in enumerate(pending)
+            ]
+            heapq.heapify(waiting)
+            stream = FlowStream(())
+        self._loop(stream, waiting, deadline, max_recomputations)
+        # the loop never admits a flow arriving after ``deadline``;
+        # register it unfinished, as a pre-filled batch already has it
+        for spec in stream.materialize():
+            self.metrics.register(spec)
+            self.metrics.on_start(spec.fid, spec.arrival)
         return self.metrics
 
-    # -- streaming (open-system) main loop ---------------------------------------------
+    def _loop(self, stream: FlowStream,
+              waiting: list[tuple[float, int, FlowProgress]],
+              deadline: float, max_recomputations: int) -> None:
+        """The main loop (``begin_run`` was already called by :meth:`run`).
 
-    def _run_stream(self, stream: FlowStream, deadline: float,
-                    max_recomputations: int) -> MetricsCollector:
-        """The main loop for a lazy arrival process (``begin_run`` was
-        already called by :meth:`run`).
-
-        Identical event mechanics to the closed loop, plus an admission
-        step each pass: flows are pulled from the stream in
-        ``refresh_interval``-sized windows, and the advance horizon never
-        crosses the next unadmitted arrival, so an admitted flow always
-        enters the waiting heap before simulated time reaches it. Memory
-        is O(concurrent flows): the engine never sees the whole workload.
-        Flows arriving after ``deadline`` are never admitted (the closed
-        path registers them as unfinished records instead).
+        Each pass first pulls arrivals into ``waiting`` and applies due
+        fault epochs, then promotes started transfers into ``active``,
+        allocates rates and advances to the next event. Flows are pulled
+        from the stream in ``refresh_interval``-sized windows, and the
+        advance horizon never crosses the next unadmitted arrival or
+        fault epoch, so an admitted flow always enters the waiting heap
+        before simulated time reaches it. Memory is O(concurrent flows):
+        the engine never sees a streamed workload whole. Flows arriving
+        after ``deadline`` are never admitted.
         """
-        waiting: list[tuple[float, int, FlowProgress]] = []
         active: list[FlowProgress] = []
         eta_heap: list[tuple[float, int, int, FlowProgress]] = []
         deadline_heap: list[tuple[float, int, FlowProgress]] = []
@@ -316,18 +263,25 @@ class FlowLevelSimulation:
 
             rates = self.model.allocate(active, self.capacities, self.now)
             self.recomputations += 1
-            # open-ended runs admit without bound, so the convergence
-            # budget tracks admissions instead of staying a flat constant
-            budget = 64 * self._stream_admitted + 1024
-            if budget < max_recomputations:
+            if self.recomputations > max_recomputations:
+                # open-ended runs admit without bound, so a stream's
+                # convergence budget tracks admissions instead of
+                # staying a flat constant; a pre-filled batch admits
+                # nothing and keeps the flat budget
                 budget = max_recomputations
-            if self.recomputations > budget:
-                raise ExperimentError(
-                    "flow-level simulation did not converge "
-                    f"({budget} recomputations)"
-                )
+                if self._stream_admitted:
+                    budget = max(budget, 64 * self._stream_admitted + 1024)
+                if self.recomputations > budget:
+                    raise ExperimentError(
+                        "flow-level simulation did not converge "
+                        f"({budget} recomputations)"
+                    )
             sending = self._apply_rates(active, rates, eta_heap)
             if len(eta_heap) > 64 and len(eta_heap) > 4 * len(active):
+                # models that reshuffle most rates per recomputation (RCP
+                # max-min) strand stale entries below the heap top; compact
+                # so the heap stays O(active). Dropping invalid entries
+                # cannot change the surviving minimum.
                 eta_heap = [
                     entry for entry in eta_heap
                     if not entry[3].departed
@@ -359,6 +313,7 @@ class FlowLevelSimulation:
                     break
                 raise ExperimentError("fluid engine time went backwards")
             for flow in active:
+                # inlined FlowProgress.advance (same arithmetic)
                 if flow.rate > 0:
                     flow.remaining_wire = max(
                         0.0, flow.remaining_wire - flow.rate * dt / 8.0
@@ -370,14 +325,14 @@ class FlowLevelSimulation:
             if self.samplers:
                 for sampler in self.samplers:
                     sampler.on_step(self, active)
-        return self.metrics
 
     # repro: hot
     def _admit_from_stream(self, stream: FlowStream,
                            waiting: list) -> None:
         """Admission step: pull every arrival inside the next refresh
-        window into the waiting heap (register + on_start, exactly what
-        the closed path does up front). Runs once per main-loop pass.
+        window into the waiting heap (register + on_start per flow, what
+        :meth:`run` does up front for a pre-filled batch). Runs once per
+        main-loop pass while the stream has flows left.
 
         Under fault injection an arrival may find its endpoints
         partitioned; it is rejected (terminated on arrival) instead of

@@ -86,13 +86,12 @@ def harvest_packet_run(net) -> RunStats:
     )
     c["flows.pauses"] = net.flow_pauses
     c["flows.resumes"] = net.flow_resumes
-    c["net.stream_batches"] = getattr(net, "stream_batches", 0)
-    pool = getattr(net, "pool", None)
-    if pool is not None:
-        c["net.pool_hits"] = pool.hits
-        c["net.pool_misses"] = pool.misses
-        c["net.pool_size"] = pool.size
-    controller = getattr(net, "fault_controller", None)
+    c["net.stream_batches"] = net.stream_batches
+    pool = net.pool
+    c["net.pool_hits"] = pool.hits
+    c["net.pool_misses"] = pool.misses
+    c["net.pool_size"] = pool.size
+    controller = net.fault_controller
     if controller is not None:
         # only under fault injection, so fault-free stored payloads are
         # byte-identical to what they were before the subsystem existed
@@ -117,13 +116,13 @@ def harvest_fluid_run(sim) -> RunStats:
     c["fluid.allocate_calls"] = sim.recomputations
     c["flows.pauses"] = sim.pauses
     c["flows.resumes"] = sim.resumes
-    c["fluid.stream_batches"] = getattr(sim, "stream_batches", 0)
+    c["fluid.stream_batches"] = sim.stream_batches
     model = sim.model
     hits = getattr(model, "cache_hits", None)
     if hits is not None:
         c["fluid.comparator_cache_hits"] = hits
         c["fluid.comparator_cache_misses"] = model.cache_misses
-    if getattr(sim, "fault_events", ()):
+    if sim.fault_events:
         # same conditional-emission rule as the packet harvest: the
         # counters appear only when the scenario declared faults
         c["faults.events_applied"] = sim.fault_events_applied

@@ -102,17 +102,27 @@ class TestMaxRecomputations:
             sim.run(flows, max_recomputations=2)
 
     def test_limit_not_hit_counts_match_naive(self):
-        flows = [
-            FlowSpec(fid=i, src=f"send{i}", dst="recv", size_bytes=1 * MBYTE)
-            for i in range(3)
-        ]
-        opt = FlowLevelSimulation(SingleBottleneck(3), PdqModel())
-        opt.run(flows)
-        naive = NaiveFlowLevelSimulation(
-            SingleBottleneck(3), naive_model_for(PdqModel())
-        )
-        naive.run(flows)
-        assert opt.recomputations == naive.recomputations
+        # simultaneous arrivals, then staggered ones: the last arrives
+        # after the first flow finished, between the second's arrival and
+        # its transfer start. A closed batch pre-fills the waiting heap,
+        # so it adds no loop pass there (admitting it as a stream would)
+        # and no admission batch
+        for arrivals, size in [((0.0, 0.0, 0.0), 1 * MBYTE),
+                               ((0.0, 1.2e-3, 1.4e-3), 20 * KBYTE)]:
+            flows = [
+                FlowSpec(fid=i, src=f"send{i}", dst="recv",
+                         size_bytes=size, arrival=arrival)
+                for i, arrival in enumerate(arrivals)
+            ]
+            opt = FlowLevelSimulation(SingleBottleneck(3), PdqModel())
+            opt.run(flows)
+            naive = NaiveFlowLevelSimulation(
+                SingleBottleneck(3), naive_model_for(PdqModel())
+            )
+            naive.run(flows)
+            assert opt.recomputations == naive.recomputations
+            assert opt.iterations == naive.iterations
+            assert opt.stream_batches == 0
 
 
 class TestCriticalityCachingContract:
