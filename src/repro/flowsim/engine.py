@@ -167,8 +167,9 @@ class FlowLevelSimulation:
         """
         begin_run = getattr(self.model, "begin_run", None)
         if begin_run is not None:
-            # the engine honors the incremental-sort contract: the active
-            # list only gains flows at its tail and sheds departed flows
+            # the engine honors the begin_run contract the models' kept
+            # state relies on: the active list only gains flows at its
+            # tail and sheds departed flows
             begin_run()
         waiting: list[tuple[float, int, FlowProgress]] = []
         if isinstance(flows, FlowStream):
@@ -433,9 +434,9 @@ class FlowLevelSimulation:
             waiting[:] = [entry for entry in waiting
                           if not entry[2].departed]
             heapq.heapify(waiting)
-        # cached comparator keys embed expected_tx, which moved with
-        # max_rate for every rerouted flow; models that keep key caches
-        # (PDQ) must rebuild them
+        # a rerouted flow has a new path and max_rate: models that keep
+        # state across allocate calls rebuild it (PDQ's comparator keys
+        # embed expected_tx, RCP's link membership follows the paths)
         invalidate = getattr(self.model, "invalidate_keys", None)
         if invalidate is not None:
             invalidate()

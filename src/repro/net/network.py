@@ -75,6 +75,7 @@ class Network:
         self.stream_window = 1 * MSEC
         self.stream_batches = 0
         self._pending_streams = 0
+        self._streams: list[FlowStream] = []
         self._quiet_active = False
 
         self.nodes: list[Node] = []
@@ -195,6 +196,7 @@ class Network:
         launch order, exactly as per-flow events would have fired."""
         if isinstance(flows, FlowStream):
             self._pending_streams += 1
+            self._streams.append(flows)
             self._admit_stream(flows)
             return
         batches: dict[float, list] = {}
@@ -283,7 +285,11 @@ class Network:
 
         While an open-system stream is still yielding flows the observer
         holds its fire: a quiet gap between arrivals resolves every
-        *admitted* flow without ending the run."""
+        *admitted* flow without ending the run.
+
+        A stream the deadline cut off never admits its later flows; they
+        are registered unfinished afterwards, as a closed batch
+        registers every flow up front."""
         if not self.metrics.unfinished_count() and not self._pending_streams:
             return
         unsubscribe = self.metrics.add_completion_observer(
@@ -295,6 +301,10 @@ class Network:
         finally:
             self._quiet_active = False
             unsubscribe()
+        register = self.metrics.register
+        for stream in self._streams:
+            for spec in stream.materialize():
+                register(spec)
 
     def _stop_if_drained(self) -> None:
         if not self._pending_streams:

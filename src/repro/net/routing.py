@@ -81,16 +81,6 @@ class Router:
             reverse.append(link.reverse)
         return tuple(reverse)
 
-    def equal_cost_paths(self, src_id: int, dst_id: int) -> int:
-        """Number of distinct next-hop choices at the source (diagnostics)."""
-        return len(self._candidates(src_id, dst_id))
-
-    def hop_count(self, src_id: int, dst_id: int) -> int:
-        dist = self._distances(dst_id)
-        if src_id not in dist:
-            raise RoutingError(f"no route {src_id} -> {dst_id}")
-        return dist[src_id]
-
     # -- internals -----------------------------------------------------------------
 
     def _distances(self, dst_id: int) -> dict[int, int]:

@@ -83,8 +83,9 @@ class FlowStream:
         return out
 
     def materialize(self) -> list[FlowSpec]:
-        """Drain the remaining flows into a list (tests and closed-batch
-        comparisons only — this defeats the memory bound)."""
+        """Drain the remaining flows into a list. This defeats the memory
+        bound: engines call it only for the flows a run's deadline cut
+        off, and tests to build the matching closed batch."""
         out = []
         spec = self._next
         while spec is not None:

@@ -11,6 +11,8 @@ extends to the fault drop path); loss rules and the ``random_graph``
 topology are seed-deterministic.
 """
 
+import json
+
 import pytest
 
 from repro.campaign.engines import run_flow_level, run_packet_level
@@ -24,11 +26,14 @@ from repro.faults import (
     legacy_loss_rule,
     loss_rules_from,
 )
+from repro.flowsim.engine import FlowLevelSimulation
+from repro.flowsim.rcp_model import RcpModel, max_min_rates
 from repro.topology.fattree import FatTree
 from repro.topology.random_graph import RandomGraph
 from repro.topology.single_bottleneck import SingleBottleneck
 from repro.units import KBYTE
 from repro.workload.flow import FlowSpec
+from repro.workload.open_system import open_system
 
 LINK_DOWN = {"events": [
     {"time": 0.002, "action": "link_down", "a": "agg0_0", "b": "core0_0"},
@@ -239,6 +244,39 @@ class TestFluidFaults:
                                    sim_deadline=4.0, faults=events)
         assert collector.completed_count() == 1
         assert collector.stats["faults.flows_rejected"] == 1
+
+    def test_rcp_kept_membership_follows_reroutes(self):
+        # RcpModel keeps link membership across allocate calls; the
+        # engine's invalidate_keys after each reroute must make a faulted
+        # stream byte-identical to a model that rebuilds it every call
+        class StatelessRcp:
+            name = "RCP"
+
+            def allocate(self, flows, capacities, now):
+                return max_min_rates(flows, capacities)
+
+            def terminations(self, flows, rates, now):
+                return []
+
+        def run(model):
+            topo = FatTree(4)
+            stream = open_system(topo, 11, duration=0.005, target_load=0.5,
+                                 size_scale=0.05)
+            events = (FaultEvent(0.002, "link_down", "agg0_0", "core0_0"),
+                      FaultEvent(0.0035, "link_up", "agg0_0", "core0_0"))
+            sim = FlowLevelSimulation(topo, model, header_bytes=44,
+                                      faults=events)
+            sim.run(stream, deadline=stream.horizon)
+            return sim, json.dumps(sim.metrics.to_dict())
+
+        kept, kept_payload = run(RcpModel())
+        rebuilt, rebuilt_payload = run(StatelessRcp())
+        assert kept.fault_events_applied == 2
+        assert kept.fault_reroutes > 0
+        # pytest.fail, not an assert: diffing two long payload strings
+        # takes pytest minutes
+        if kept_payload != rebuilt_payload:
+            pytest.fail("kept membership diverged from a per-call rebuild")
 
 
 # -- determinism --------------------------------------------------------------------

@@ -244,3 +244,88 @@ class TestWaterFillingParity:
         rates = max_min_rates(flows, [1.0])
         assert rates == {2: 0.1, 1: 0.3, 3: 0.6}
         assert rates == naive_max_min_rates(flows, {0: 1.0})
+
+
+def _dense_flow(fid, hops, max_rate):
+    spec = FlowSpec(fid=fid, src="a", dst="b", size_bytes=1000)
+    return FlowProgress(spec, hops, max_rate, rtt=1e-4, wire_size=1000.0,
+                        transfer_start=0.0)
+
+
+class TestPersistentMembership:
+    """``RcpModel`` after ``begin_run`` keeps its link membership across
+    ``allocate`` calls. Driven through the engine's mutations -- tail
+    promotions, departures, reroutes followed by ``invalidate_keys`` and
+    in-place capacity changes, the flow list edited in place as the
+    engine edits it -- every call must equal the frozen reference."""
+
+    @staticmethod
+    def _check(model, active, capacities):
+        expected = naive_max_min_rates(active, dict(enumerate(capacities)))
+        assert model.allocate(active, capacities, 0.0) == expected
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_naive_through_mutations(self, data):
+        n_edges = data.draw(st.integers(min_value=1, max_value=6))
+        capacities = [data.draw(_RATES) for _ in range(n_edges)]
+        # unique fids in scrambled order, so set order differs from
+        # list order; hops may repeat an edge
+        fids = iter(data.draw(st.permutations(range(60))))
+        edges = st.integers(min_value=0, max_value=n_edges - 1)
+        paths = st.lists(edges, max_size=4)
+        model = RcpModel()
+        model.begin_run()
+        active = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=20))):
+            for op in data.draw(st.lists(st.sampled_from(
+                    ("promote", "depart", "reroute", "capacity")),
+                    min_size=1, max_size=3)):
+                if op == "promote" or not active:
+                    for _ in range(data.draw(st.integers(1, 3))):
+                        active.append(_dense_flow(
+                            next(fids), data.draw(paths), data.draw(_RATES)))
+                elif op == "depart":
+                    gone = data.draw(st.sets(st.sampled_from(active),
+                                             min_size=1))
+                    for flow in gone:
+                        flow.departed = True
+                    active[:] = [f for f in active if not f.departed]
+                elif op == "reroute":
+                    flow = data.draw(st.sampled_from(active))
+                    flow.path = tuple(data.draw(paths))
+                    flow.max_rate = data.draw(_RATES)
+                    model.invalidate_keys()
+                else:
+                    capacities[data.draw(edges)] = data.draw(
+                        _RATES | st.just(0.0))
+            self._check(model, active, capacities)
+
+    def test_capped_flows_subtract_in_set_order(self):
+        # the set-order case of TestWaterFillingParity, reached through
+        # the kept membership: fids 2 and 1 cap in the same round on
+        # edge 0, and list order would leave fid 3 0.6000000000000001
+        model = RcpModel()
+        model.begin_run()
+        active = [_dense_flow(2, [0], 0.1)]
+        self._check(model, active, [1.0])
+        active += [_dense_flow(1, [0], 0.3), _dense_flow(3, [0], 10.0)]
+        assert model.allocate(active, [1.0], 0.0) == {2: 0.1, 1: 0.3, 3: 0.6}
+        self._check(model, active, [1.0])
+
+    def test_reroute_and_repeated_hops(self):
+        model = RcpModel()
+        model.begin_run()
+        capacities = [1.0, 2.0, 10.0]
+        a = _dense_flow(5, [0, 1, 0], 10.0)
+        b = _dense_flow(7, [0, 2], 0.3)
+        c = _dense_flow(4, [2], 10.0)
+        active = [a, b, c]
+        self._check(model, active, capacities)
+        # a leaves edge 0, so c shares edge 2 with b and a
+        a.path = (2, 1, 2)
+        model.invalidate_keys()
+        self._check(model, active, capacities)
+        b.departed = True
+        active[:] = [a, c]
+        self._check(model, active, capacities)

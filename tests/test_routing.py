@@ -53,7 +53,6 @@ class TestRouter:
         src, dst = net.node("h0"), net.node("h15")
         # inter-pod in a fat-tree: host-edge-agg-core-agg-edge-host = 6 links
         assert len(net.router.flow_path(1, src.id, dst.id)) == 6
-        assert net.router.hop_count(src.id, dst.id) == 6
 
     def test_path_pinned_per_flow(self, fattree_net):
         net = fattree_net
@@ -183,14 +182,6 @@ class TestGraphRouterAgreement:
         net.router.invalidate_routes()
         router.set_down_edges(())
         assert outcomes() == healthy
-
-    def test_hop_count_agrees(self):
-        topo = FatTree(4)
-        net = Network(topo, PdqStack())
-        graph_router = GraphRouter(topo)
-        assert graph_router.hop_count("h0", "h15") == net.router.hop_count(
-            net.node("h0").id, net.node("h15").id
-        )
 
     def test_capacities_cover_all_directed_edges(self):
         topo = SingleRootedTree()

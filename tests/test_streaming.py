@@ -333,6 +333,22 @@ class TestEngineEquivalence:
         assert streamed.late_events == 0
         assert streamed.stats["net.stream_batches"] > 0
 
+    def test_packet_stream_cut_by_deadline_registers_late_arrivals(self):
+        # the deadline falls inside the arrival window: flows the stream
+        # never admitted are registered unfinished, as in the batch
+        def stream():
+            return open_system(_topo(), 42, duration=0.05,
+                               rate_per_sec=2000.0, size_scale=0.01)
+
+        closed = run_packet_level(_topo(), "TCP", stream().materialize(),
+                                  sim_deadline=0.02)
+        streamed = run_packet_level(_topo(), "TCP", stream(),
+                                    sim_deadline=0.02)
+        assert set(streamed.records) == set(closed.records)
+        assert len(closed.records) == 91
+        assert streamed.unfinished_count() == closed.unfinished_count()
+        assert streamed.to_dict()["records"] == closed.to_dict()["records"]
+
     def test_fluid_memory_is_flat_in_flow_count(self):
         """Direct O(1)-memory evidence at test scale: 4x the flows must
         cost well under 1.5x the peak traced bytes. The router caches
